@@ -7,7 +7,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/submit                          fan-out batched submit, node-attributed results
+//	POST /v1/submit                          fan-out batched submit, node-attributed results (compact JSON, ssdcheckd's limits)
 //	GET  /v1/cluster/nodes                   members: health, ring arcs, device counts
 //	GET  /v1/cluster/nodes/{id}              one member: status plus its fleet metrics
 //	POST /v1/cluster/nodes/{id}/kill         stop the node's serving path (devices survive)

@@ -5,32 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
-	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/buildinfo"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
 	"ssdcheck/internal/obs"
 )
-
-// submitRequest is the wire form of one request, identical to the
-// single-node daemon's.
-type submitRequest struct {
-	Device  string `json:"device"`
-	Op      string `json:"op"`
-	LBA     int64  `json:"lba"`
-	Sectors int    `json:"sectors"`
-}
-
-type submitBody struct {
-	Requests []submitRequest `json:"requests"`
-}
-
-type submitResponse struct {
-	Results []cluster.Result `json:"results"`
-}
 
 type errorResponse struct {
 	Error string `json:"error"`
@@ -44,19 +25,6 @@ type versionResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func parseOp(s string) (blockdev.Op, error) {
-	switch strings.ToLower(s) {
-	case "read", "r":
-		return blockdev.Read, nil
-	case "write", "w":
-		return blockdev.Write, nil
-	case "trim", "t":
-		return blockdev.Trim, nil
-	default:
-		return 0, fmt.Errorf("unknown op %q (want read, write or trim)", s)
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -67,6 +35,39 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// serveSubmit is POST /v1/submit for both coordinator modes: the body
+// goes through the single-node daemon's codec, and the reply is the
+// same compact form with each result's serving node appended.
+func serveSubmit(w http.ResponseWriter, r *http.Request, submit func([]fleet.Request) ([]cluster.Result, error), unavailable func(error) bool) {
+	call := fleet.GetSubmitCall()
+	defer call.Release()
+	if code, err := call.Read(w, r); err != nil {
+		writeError(w, code, err)
+		return
+	}
+	results, err := submit(call.Reqs)
+	if err != nil {
+		code := http.StatusBadRequest
+		if unavailable(err) {
+			code = http.StatusServiceUnavailable
+		}
+		writeError(w, code, err)
+		return
+	}
+	fleet.WriteSubmitReply(w, call, results, appendResult)
+}
+
+// appendResult appends r as the JSON object encoding/json writes: the
+// embedded fleet.Result's fields, then "node".
+func appendResult(buf []byte, r *cluster.Result) []byte {
+	buf = fleet.AppendResultFields(buf, &r.Result)
+	if r.Node != "" {
+		buf = append(buf, `,"node":`...)
+		buf = fleet.AppendString(buf, r.Node)
+	}
+	return append(buf, '}')
 }
 
 // newServer wires a coordinator into the cluster daemon's HTTP
@@ -123,34 +124,9 @@ func newServer(c *cluster.Coordinator, newMember func(id, addr string) (*cluster
 	})
 
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
-		batch := make([]fleet.Request, 0, len(body.Requests))
-		for i, sr := range body.Requests {
-			op, err := parseOp(sr.Op)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			batch = append(batch, fleet.Request{DeviceID: sr.Device, Op: op, LBA: sr.LBA, Sectors: sr.Sectors})
-		}
-		results, err := c.Submit(batch)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, cluster.ErrCoordinatorClosed) {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, submitResponse{Results: results})
+		serveSubmit(w, r, c.Submit, func(err error) bool {
+			return errors.Is(err, cluster.ErrCoordinatorClosed)
+		})
 	})
 
 	mux.HandleFunc("GET /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {

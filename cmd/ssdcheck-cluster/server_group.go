@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 
 	"ssdcheck/internal/buildinfo"
 	"ssdcheck/internal/cluster"
-	"ssdcheck/internal/fleet"
 )
 
 // newGroupServer wires a replicated coordinator group into the HTTP
@@ -68,35 +66,10 @@ func newGroupServer(g *cluster.Group) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
-		batch := make([]fleet.Request, 0, len(body.Requests))
-		for i, sr := range body.Requests {
-			op, err := parseOp(sr.Op)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			batch = append(batch, fleet.Request{DeviceID: sr.Device, Op: op, LBA: sr.LBA, Sectors: sr.Sectors})
-		}
-		results, err := g.Submit(batch)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, cluster.ErrNoLeader) || errors.Is(err, cluster.ErrNoQuorum) ||
-				errors.Is(err, cluster.ErrCoordinatorClosed) {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, submitResponse{Results: results})
+		serveSubmit(w, r, g.Submit, func(err error) bool {
+			return errors.Is(err, cluster.ErrNoLeader) || errors.Is(err, cluster.ErrNoQuorum) ||
+				errors.Is(err, cluster.ErrCoordinatorClosed)
+		})
 	})
 
 	mux.HandleFunc("GET /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,22 @@ import (
 	"ssdcheck/internal/fleet"
 )
 
+// The /v1/submit wire forms, as clients write and read them.
+type submitRequest struct {
+	Device  string `json:"device"`
+	Op      string `json:"op"`
+	LBA     int64  `json:"lba"`
+	Sectors int    `json:"sectors"`
+}
+
+type submitBody struct {
+	Requests []submitRequest `json:"requests"`
+}
+
+type submitResponse struct {
+	Results []cluster.Result `json:"results"`
+}
+
 func testNodeConfig() fleet.Config {
 	return fleet.Config{
 		Shards:             2,
@@ -258,5 +274,23 @@ func TestClusterServerJoinDrain(t *testing.T) {
 	// Unknown node actions 404.
 	if resp := postJSON(t, srv, "/v1/cluster/nodes/nope/kill", nil, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("kill unknown node: %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitReplyEncoding: the cluster's /v1/submit reply equals
+// encoding/json's compact output byte for byte, with "node" after the
+// embedded fleet result's fields and left out when empty.
+func TestSubmitReplyEncoding(t *testing.T) {
+	results := []cluster.Result{
+		{Result: fleet.Result{DeviceID: "ssd-00-A", HL: true, EET: 90000, Latency: 85000, CompletedAt: 1 << 33}, Node: "node-1"},
+		{Result: fleet.Result{DeviceID: "ssd-01-B", Retries: 1, Fallback: true, Error: `breaker "open" <node-2>`}},
+		{Result: fleet.Result{DeviceID: "ssd-02-C", TimedOut: true}, Node: "nöde <&>"},
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(submitResponse{Results: results}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fleet.AppendSubmitReply(nil, results, appendResult); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("encoded\n%s\nencoding/json\n%s", got, want.Bytes())
 	}
 }

@@ -23,6 +23,10 @@
 //	GET  /healthz                          liveness, degraded-aware
 //	POST /v1/node/{heartbeat,submit,attach,detach}  cluster node RPC plane (idempotency-token protected)
 //
+// /v1/submit replies are compact JSON, written by fleet's submit codec
+// (other endpoints answer indented JSON). A body over
+// fleet.MaxSubmitBody bytes or a batch over fleet.MaxSubmitBatch
+// requests is refused with 413; any other malformed body with 400.
 // Submit failures are per-request: a quarantined or failed device marks
 // only its own entries' "error" field, and the rest of the batch
 // proceeds. /healthz reports "degraded" (200) while some devices are
@@ -160,7 +164,7 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	log.Printf("fleet up in %v: devices=%s", time.Since(start).Round(time.Millisecond),
 		strings.Join(m.DeviceIDs(), ","))
 
-	srv := &http.Server{Addr: addr, Handler: newServer(m, tracer, nodeID)}
+	srv := newHTTPServer(addr, newServer(m, tracer, nodeID))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -187,6 +191,25 @@ func run(addr string, devices int, presets string, shards int, seed uint64, queu
 	m.Close()
 	log.Printf("fleet drained, bye")
 	return nil
+}
+
+// Server timeouts. A client gets readHeaderTimeout to send a request's
+// headers, and an idle keep-alive connection is closed after
+// idleTimeout; clients that post back to back never come near either.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's http.Server, with its timeouts set so
+// a stalled or abandoned client cannot hold a connection forever.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // loadFeatures attaches persisted diagnoses to matching device specs. A

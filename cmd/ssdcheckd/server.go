@@ -6,11 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
-	"sync"
 	"time"
 
-	"ssdcheck/internal/blockdev"
 	"ssdcheck/internal/buildinfo"
 	"ssdcheck/internal/cluster"
 	"ssdcheck/internal/fleet"
@@ -25,72 +22,13 @@ type versionResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// submitRequest is the wire form of one fleet request: the op travels
-// as its conventional name ("read", "write", "trim").
-type submitRequest struct {
-	Device  string `json:"device"`
-	Op      string `json:"op"`
-	LBA     int64  `json:"lba"`
-	Sectors int    `json:"sectors"`
-}
-
-type submitBody struct {
-	Requests []submitRequest `json:"requests"`
-}
-
-type submitResponse struct {
-	Results []fleet.Result `json:"results"`
-}
-
-// submitSlab is a reusable request/result pair for the batch endpoint.
-// The fleet's ingress is allocation-free end to end; pooling the
-// daemon's own slabs keeps the HTTP layer from reintroducing per-batch
-// garbage on top of it. Slabs grow to the largest batch seen and are
-// cleared before reuse so no device IDs or predictions linger.
-type submitSlab struct {
-	reqs []fleet.Request
-	out  []fleet.Result
-}
-
-var submitSlabs = sync.Pool{New: func() any { return &submitSlab{} }}
-
-// grow sizes both slices for an n-request batch, reusing capacity.
-func (s *submitSlab) grow(n int) {
-	if cap(s.reqs) < n {
-		s.reqs = make([]fleet.Request, n)
-		s.out = make([]fleet.Result, n)
-	}
-	s.reqs = s.reqs[:n]
-	s.out = s.out[:n]
-}
-
-// release clears and returns the slab to the pool.
-func (s *submitSlab) release() {
-	clear(s.reqs)
-	clear(s.out)
-	submitSlabs.Put(s)
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func parseOp(s string) (blockdev.Op, error) {
-	switch strings.ToLower(s) {
-	case "read", "r":
-		return blockdev.Read, nil
-	case "write", "w":
-		return blockdev.Write, nil
-	case "trim", "t":
-		return blockdev.Trim, nil
-	default:
-		return 0, fmt.Errorf("unknown op %q (want read, write or trim)", s)
-	}
-}
-
-// writeJSON is the single JSON response path: every handler goes
-// through it (or writeError) so the Content-Type header is set
-// consistently across the API surface.
+// writeJSON is the JSON response path for every handler but
+// /v1/submit's 200, which fleet's codec writes compact: it sets the
+// Content-Type header consistently across the API surface.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -172,27 +110,16 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var body submitBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		// The call's body, batch and reply buffers are pooled, so the
+		// HTTP layer adds little per-batch garbage to the fleet's
+		// allocation-free ingress.
+		call := fleet.GetSubmitCall()
+		defer call.Release()
+		if code, err := call.Read(w, r); err != nil {
+			writeError(w, code, err)
 			return
 		}
-		if len(body.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-			return
-		}
-		slab := submitSlabs.Get().(*submitSlab)
-		defer slab.release()
-		slab.grow(len(body.Requests))
-		for i, sr := range body.Requests {
-			op, err := parseOp(sr.Op)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			slab.reqs[i] = fleet.Request{DeviceID: sr.Device, Op: op, LBA: sr.LBA, Sectors: sr.Sectors}
-		}
-		if err := m.SubmitBatchInto(slab.reqs, slab.out); err != nil {
+		if err := m.SubmitBatchInto(call.Reqs, call.Out); err != nil {
 			// Batch-level errors mean the manager itself can't take
 			// work (shutting down); per-request failures ride inside
 			// the 200 results with their "error" field set, so one bad
@@ -204,9 +131,7 @@ func newServer(m *fleet.Manager, tr *obs.Tracer, nodeID string) http.Handler {
 			writeError(w, code, err)
 			return
 		}
-		// writeJSON serializes before returning, so the pooled slab is
-		// safe to release once the response is on the wire.
-		writeJSON(w, http.StatusOK, submitResponse{Results: slab.out})
+		fleet.WriteSubmitReply(w, call, call.Out, fleet.AppendResult)
 	})
 
 	mux.HandleFunc("GET /v1/devices", func(w http.ResponseWriter, r *http.Request) {
